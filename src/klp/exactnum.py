@@ -69,18 +69,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(q: Fraction, u: Vec) -> Vec:
-    return tuple(q * a for a in u)
-
-
 def mat_vec(m: Mat, x: Vec) -> Vec:
     return tuple(dot(row, x) for row in m)
 

@@ -325,65 +325,67 @@ class GenPoly:
     # -- witnesses and optimization ------------------------------------------------
 
     def witness_point(self) -> Vec | None:
-        """A rational point of the set, or None when empty.
+        """A rational point of the set, or None when empty: the minimizer of
+        the zero cost (see ``inf_linear``)."""
+        return self.inf_linear((ZERO,) * self.dim)[1]
 
-        Back-substitutes through the elimination tower: each coordinate is the
-        midpoint of its residual interval, bound+1 / bound-1 when one-sided,
-        and 0 when free.
-        """
-        if self.is_empty():
-            return None
-        tower = [self]
-        while tower[-1].dim > 0:
-            tower.append(tower[-1].eliminate(tower[-1].dim - 1))
-        coords: list[Fraction] = []
-        for d in range(1, self.dim + 1):
-            level = tower[self.dim - d]
-            lo: Fraction | None = None
-            hi: Fraction | None = None
-            for coeffs, rhs, _ in level.rows():
-                a = coeffs[d - 1]
-                if a == 0:
-                    continue
-                bound = (rhs - dot(coeffs[: d - 1], tuple(coords))) / a
-                if a > 0:
-                    lo = bound if lo is None else max(lo, bound)
-                else:
-                    hi = bound if hi is None else min(hi, bound)
-            if lo is not None and hi is not None:
-                coords.append((lo + hi) / 2)
-            elif lo is not None:
-                coords.append(lo + 1)
-            elif hi is not None:
-                coords.append(hi - 1)
-            else:
-                coords.append(ZERO)
-        return tuple(coords)
+    def inf_linear(self, c: Sequence) -> tuple[ExtReal, Vec | None]:
+        """Exact infimum of c.x over the set, with a minimizer or None.
 
-    def inf_linear(self, c: Sequence) -> tuple[ExtReal, bool]:
-        """Exact infimum of c.x over the set, with an attainment flag.
-
-        Projects the epigraph {(x, t) : x in P, t >= c.x} onto t and reads the
-        lower endpoint; inf over the empty set is +inf.
+        Eliminates x from the epigraph {(t, x) : x in P, t >= c.x}, last
+        coordinate first, and reads the infimum as the lower endpoint of the
+        projected line; inf over the empty set is +inf. The infimum is attained
+        iff it lies on the line. The minimizer comes from back-substitution
+        through the same tower with t fixed at the infimum: each coordinate is
+        the midpoint of its residual interval, bound+1 / bound-1 when
+        one-sided, and 0 when free.
         """
         cost = vec(c)
         if len(cost) != self.dim:
             raise ValueError("objective length must match dimension")
-        epi_rows = [(coeffs + (ZERO,), rhs, s) for coeffs, rhs, s in self.rows()]
-        epi_rows.append((tuple(-q for q in cost) + (ONE,), ZERO, False))
-        epigraph = GenPoly(self.dim + 1, *_reduce(epi_rows, self.dim + 1))
-        line = epigraph.project([self.dim])
+        epi_rows = [((ZERO,) + coeffs, rhs, s) for coeffs, rhs, s in self.rows()]
+        epi_rows.append(((ONE,) + tuple(-q for q in cost), ZERO, False))
+        tower = [GenPoly(self.dim + 1, *_reduce(epi_rows, self.dim + 1))]
+        while tower[-1].dim > 1:
+            tower.append(tower[-1].eliminate(tower[-1].dim - 1))
+        line = tower[-1]
         if line.is_empty():
-            return POS_INF, False
-        lo: Fraction | None = None
-        for (a,), rhs, _ in line.rows():
-            if a > 0:
-                bound = rhs / a
-                lo = bound if lo is None else max(lo, bound)
+            return POS_INF, None
+        lo = _interval(line, ())[0]
         if lo is None:
-            return NEG_INF, False
-        cap = GenPoly(self.dim, weak=((tuple(-q for q in cost), -lo),))
-        return ExtReal.of(lo), not self.intersect(cap).is_empty()
+            return NEG_INF, None
+        if not line.contains((lo,)):
+            return ExtReal.of(lo), None
+        point = [lo]
+        for level in reversed(tower[:-1]):
+            below, above = _interval(level, point)
+            if below is not None and above is not None:
+                point.append((below + above) / 2)
+            elif below is not None:
+                point.append(below + 1)
+            elif above is not None:
+                point.append(above - 1)
+            else:
+                point.append(ZERO)
+        return ExtReal.of(lo), tuple(point[1:])
+
+
+def _interval(poly: GenPoly, prefix: Sequence[Fraction]):
+    """Tightest lower and upper bounds (None when absent) on the coordinate
+    after ``prefix`` in a system over exactly prefix plus that coordinate."""
+    d = len(prefix)
+    lo: Fraction | None = None
+    hi: Fraction | None = None
+    for coeffs, rhs, _ in poly.rows():
+        a = coeffs[d]
+        if a == 0:
+            continue
+        bound = (rhs - dot(coeffs[:d], prefix)) / a
+        if a > 0:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    return lo, hi
 
 
 @lru_cache(maxsize=None)
@@ -442,11 +444,3 @@ def genpoly(dim: int, weak=(), strict=()) -> GenPoly:
 
 def whole_space(dim: int) -> GenPoly:
     return GenPoly(dim)
-
-
-def intersect_all(polys: Iterable[GenPoly]) -> GenPoly:
-    it = iter(polys)
-    out = next(it)
-    for p in it:
-        out = out.intersect(p)
-    return out

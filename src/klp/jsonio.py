@@ -11,7 +11,7 @@ from fractions import Fraction
 from .exactnum import Vec, format_rational, frac, vec, zeros
 from .genpoly import ExtReal, GenPoly
 from .mlp import Level, LevelRow, MlpInstance, SolveReport
-from .oracle import BilevelBasisResult, NaiveTrilevelDemo
+from .oracle import NaiveTrilevelDemo
 from .pwl import AFFINE, Piece, PwlFunc
 
 
@@ -26,6 +26,8 @@ def dumps(obj) -> str:
 def _rat(value) -> Fraction:
     if isinstance(value, float):
         raise FormatError(f"floats are not exact: {value!r}")
+    if isinstance(value, bool):
+        raise FormatError(f"expected a rational, got {value!r}")
     try:
         return frac(value)
     except (ValueError, TypeError) as exc:
@@ -33,9 +35,26 @@ def _rat(value) -> Fraction:
 
 
 def _rat_list(values) -> Vec:
-    if not isinstance(values, list):
-        raise FormatError(f"expected a list of rationals, got {type(values).__name__}")
-    return tuple(_rat(v) for v in values)
+    return tuple(_rat(v) for v in _list(values, "a rational vector"))
+
+
+def _int(value, what: str) -> int:
+    # bool is a subclass of int in Python, but true/false are not counts
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _obj(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 # -- instances -------------------------------------------------------------------
@@ -59,7 +78,8 @@ def _blocks_to_full(blocks, dims, what: str) -> Vec:
             )
         full.extend(entries)
     for key in blocks:
-        if not (key.isdigit() and 1 <= int(key) <= k):
+        # only the canonical spelling is read above; "01" would be dropped
+        if key not in {str(level) for level in range(1, k + 1)}:
             raise FormatError(f"{what}: unknown level key {key!r}")
     return tuple(full)
 
@@ -76,24 +96,27 @@ def _full_to_blocks(full: Vec, dims) -> dict:
 
 
 def instance_from_obj(obj) -> MlpInstance:
-    if not isinstance(obj, dict):
-        raise FormatError("instance document must be an object")
+    obj = _obj(obj, "instance document")
     try:
-        k = int(obj["k"])
-        dims = tuple(int(n) for n in obj["n"])
-        level_objs = obj["levels"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"missing or malformed instance field: {exc}") from exc
+        k = _int(obj["k"], "k")
+        dims = tuple(_int(n, "each entry of n") for n in _list(obj["n"], "n"))
+        level_objs = _list(obj["levels"], "levels")
+    except KeyError as exc:
+        raise FormatError(f"missing instance field: {exc}") from exc
     if len(dims) != k or len(level_objs) != k:
         raise FormatError("k, n, and levels disagree on the number of players")
     levels = []
     for li, level_obj in enumerate(level_objs, start=1):
+        level_obj = _obj(level_obj, f"level {li}")
         rows = []
-        for row_obj in level_obj.get("rows", []):
+        row_objs = _list(level_obj.get("rows", []), f"level {li} rows")
+        for ri, row_obj in enumerate(row_objs):
+            row_obj = _obj(row_obj, f"level {li} row {ri}")
             coeffs = _blocks_to_full(row_obj.get("coeffs", {}), dims, f"level {li} row")
-            rows.append(
-                LevelRow(coeffs, _rat(row_obj.get("rhs", 0)), bool(row_obj.get("strict", False)))
-            )
+            strict = row_obj.get("strict", False)
+            if not isinstance(strict, bool):
+                raise FormatError(f"level {li} row {ri}: strict must be true or false")
+            rows.append(LevelRow(coeffs, _rat(row_obj.get("rhs", 0)), strict))
         objective = _blocks_to_full(
             level_obj.get("objective", {}), dims, f"level {li} objective"
         )
@@ -135,14 +158,11 @@ def instance_to_obj(inst: MlpInstance) -> dict:
 def genpoly_from_obj(obj) -> GenPoly:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise FormatError("polyhedron document needs a dim field")
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError("dim must be an integer") from exc
+    dim = _int(obj["dim"], "dim")
 
     def rows(key):
         out = []
-        for entry in obj.get(key, []):
+        for entry in _list(obj.get(key, []), key):
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise FormatError(f"{key} entries must be [coeffs, rhs] pairs")
             coeffs = _rat_list(entry[0])
@@ -201,21 +221,6 @@ def report_to_obj(report: SolveReport) -> dict:
         "witness": None
         if report.witness is None
         else [format_rational(q) for q in report.witness],
-    }
-
-
-def basis_result_to_obj(result: BilevelBasisResult) -> dict:
-    return {
-        "status": result.status,
-        "value": extreal_to_obj(result.value),
-        "attained": result.attained,
-        "witness": None
-        if result.witness is None
-        else [format_rational(q) for q in result.witness],
-        "basis": None if result.basis is None else list(result.basis.indices),
-        "bases_total": result.bases_total,
-        "bases_singular": result.bases_singular,
-        "bases_dual_feasible": result.bases_dual_feasible,
     }
 
 

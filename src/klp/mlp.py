@@ -120,6 +120,8 @@ class FeasibleSetDesc:
 
 @dataclass(frozen=True)
 class _Analysis:
+    """Nonempty feasible-graph cells and the value function of each level."""
+
     cells: dict[int, tuple[GenPoly, ...]]
     vfuncs: dict[int, PwlFunc]
 
@@ -136,22 +138,22 @@ def _level_poly(inst: MlpInstance, level: int) -> GenPoly:
 @lru_cache(maxsize=None)
 def _analysis(inst: MlpInstance) -> _Analysis:
     k, n = inst.k, inst.total
-    cells: dict[int, tuple[GenPoly, ...]] = {k: (_level_poly(inst, k),)}
+    last = _level_poly(inst, k)
+    cells: dict[int, tuple[GenPoly, ...]] = {k: () if last.is_empty() else (last,)}
     vfuncs: dict[int, PwlFunc] = {}
     for level in range(k, 1, -1):
         prefix = inst.prefix_n(level)
         suffix = n - prefix
         objective = inst.levels[level - 1].objective[prefix:]
-        live = [c for c in cells[level] if not c.is_empty()]
-        if live:
+        if cells[level]:
             # reorder to (own-and-deeper variables, then the parameters)
             order = list(range(prefix, n)) + list(range(prefix))
             vfuncs[level] = lp_value_function(
-                [c.permuted(order) for c in live], suffix, objective
+                [c.permuted(order) for c in cells[level]], suffix, objective
             )
         else:
             vfuncs[level] = PwlFunc.constant(prefix, Piece.plus_inf())
-        cells[level - 1] = _refine_level(inst, level - 1, live, vfuncs[level])
+        cells[level - 1] = _refine_level(inst, level - 1, cells[level], vfuncs[level])
     return _Analysis(cells, vfuncs)
 
 
@@ -194,34 +196,27 @@ def feasible_set(inst: MlpInstance, level: int) -> FeasibleSetDesc:
     return FeasibleSetDesc(level, _analysis(inst).cells[level])
 
 
-def _leader_cells(inst: MlpInstance) -> tuple[GenPoly, ...]:
-    return tuple(c for c in _analysis(inst).cells[1] if not c.is_empty())
-
-
 def is_feasible(inst: MlpInstance) -> bool:
-    return bool(_leader_cells(inst))
+    return bool(_analysis(inst).cells[1])
 
 
 def solve(inst: MlpInstance) -> SolveReport:
-    """Exact optimal value of the instance, with attainment and witness."""
-    cells = _leader_cells(inst)
+    """Exact optimal value of the instance, with attainment and witness.
+
+    One minimization per leader cell; the witness is the minimizer of the
+    first cell that attains the overall minimum.
+    """
     c1 = inst.levels[0].objective
-    value = POS_INF
-    for cell in cells:
-        cell_value, _ = cell.inf_linear(c1)
-        value = min(value, cell_value)
+    value, witness = POS_INF, None
+    for cell in _analysis(inst).cells[1]:
+        cell_value, minimizer = cell.inf_linear(c1)
+        if cell_value < value or (cell_value == value and witness is None):
+            value, witness = cell_value, minimizer
     if value == POS_INF:
         return SolveReport(INFEASIBLE, POS_INF, False, None)
     if value == NEG_INF:
         return SolveReport(UNBOUNDED, NEG_INF, False, None)
-    cap = GenPoly(
-        inst.total, weak=((tuple(-q for q in c1), -value.finite),)
-    )
-    for cell in cells:
-        hit = cell.intersect(cap)
-        if not hit.is_empty():
-            return SolveReport(FINITE, value, True, hit.witness_point())
-    return SolveReport(FINITE, value, False, None)
+    return SolveReport(FINITE, value, witness is not None, witness)
 
 
 def decide_val(inst: MlpInstance, threshold) -> bool:
@@ -232,7 +227,7 @@ def decide_val(inst: MlpInstance, threshold) -> bool:
     t = frac(threshold)
     c1 = inst.levels[0].objective
     cap = GenPoly(inst.total, weak=((tuple(-q for q in c1), -t),))
-    return any(not cell.intersect(cap).is_empty() for cell in _leader_cells(inst))
+    return any(not cell.intersect(cap).is_empty() for cell in _analysis(inst).cells[1])
 
 
 def decide_unbounded(inst: MlpInstance) -> bool:

@@ -23,6 +23,7 @@ from .exactnum import (
     Vec,
     dot,
     frac,
+    gauss_solve,
     mat,
     mat_inverse,
     unit,
@@ -83,7 +84,9 @@ class StandardBilevel:
         for row in self.a22:
             if len(row) != n2:
                 raise ValueError("A22 width disagrees with c22")
-        if _rank(self.a22) != len(self.a22):
+        # full row rank iff the rows admit no nontrivial vanishing combination
+        a22_t = tuple(tuple(row[j] for row in self.a22) for j in range(n2))
+        if gauss_solve(a22_t, zeros(n2)).nullspace:
             raise ValueError("A22 must have full row rank")
 
     @property
@@ -97,24 +100,6 @@ class StandardBilevel:
     @property
     def m2(self) -> int:
         return len(self.a22)
-
-
-def _rank(m: Mat) -> int:
-    rows = [list(r) for r in m]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col] / lead
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -184,7 +169,7 @@ def bilevel_basis_solve(p: StandardBilevel, threshold=None) -> BilevelBasisResul
     t = None if threshold is None else frac(threshold)
     leader_cost = p.c11 + p.c12
     total = singular = dual_ok = 0
-    consistent: list[tuple[ExtReal, bool, GenPoly, tuple[int, ...]]] = []
+    consistent: list[tuple[ExtReal, Vec | None, tuple[int, ...]]] = []
     for basis in itertools.combinations(range(p.n2), p.m2):
         total += 1
         a_b = tuple(tuple(p.a22[i][j] for j in basis) for i in range(p.m2))
@@ -207,30 +192,23 @@ def bilevel_basis_solve(p: StandardBilevel, threshold=None) -> BilevelBasisResul
         if not reduced_ok:
             continue
         dual_ok += 1
-        system = _basis_system(p, inv, y, t)
-        if system.is_empty():
-            continue
-        value, attained = system.inf_linear(leader_cost)
-        consistent.append((value, attained, system, basis))
+        value, minimizer = _basis_system(p, inv, y, t).inf_linear(leader_cost)
+        if value != POS_INF:
+            consistent.append((value, minimizer, basis))
 
     if not consistent:
         return BilevelBasisResult(
             INFEASIBLE, POS_INF, False, None, None, total, singular, dual_ok
         )
-    best = min(v for v, _, _, _ in consistent)
+    best = min(v for v, _, _ in consistent)
     if best == NEG_INF:
         return BilevelBasisResult(
             UNBOUNDED, NEG_INF, False, None, None, total, singular, dual_ok
         )
-    for value, attained, system, basis in consistent:
-        if value == best and attained:
-            cap = GenPoly(
-                p.n1 + p.n2,
-                weak=((tuple(-q for q in leader_cost), -best.finite),),
-            )
-            witness = system.intersect(cap).witness_point()
+    for value, minimizer, basis in consistent:
+        if value == best and minimizer is not None:
             return BilevelBasisResult(
-                FINITE, best, True, witness, BasisCertificate(basis),
+                FINITE, best, True, minimizer, BasisCertificate(basis),
                 total, singular, dual_ok,
             )
     return BilevelBasisResult(FINITE, best, False, None, None, total, singular, dual_ok)

@@ -189,10 +189,10 @@ def _cell_value_function(cell: GenPoly, n_x: int, cost: Vec, n_y: int) -> PwlFun
         for hole in domain.complement_cells()
         if not hole.is_empty()
     ]
-    closed = cell.closure()
-    g_rows = [coeffs[:n_x] for coeffs, _ in closed.weak]
-    h_rows = [coeffs[n_x:] for coeffs, _ in closed.weak]
-    rhs = [r for _, r in closed.weak]
+    closed = cell.weak + cell.strict  # the closure's rows; the cell is nonempty
+    g_rows = [coeffs[:n_x] for coeffs, _ in closed]
+    h_rows = [coeffs[n_x:] for coeffs, _ in closed]
+    rhs = [r for _, r in closed]
     vertices = _dual_vertices(g_rows, cost)
     if not vertices:
         pieces.append((domain, Piece.minus_inf()))

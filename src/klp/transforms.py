@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactnum import ONE, ZERO, Vec, frac, unit
+from .genpoly import _normalize
 from .mlp import Level, LevelRow, MlpInstance
 
 
@@ -115,14 +116,6 @@ def unboundedness_gadget(base: MlpInstance) -> MlpInstance:
     return forward_constraints(MlpInstance(dims, tuple(levels), base.eps))
 
 
-def _positive_normalized(coeffs: Vec, rhs: Fraction):
-    lead = next((c for c in coeffs if c != 0), None)
-    if lead is None:
-        return coeffs, rhs
-    scale = ONE / abs(lead)
-    return tuple(scale * c for c in coeffs), scale * rhs
-
-
 def check_conditions(inst: MlpInstance) -> ConditionReport:
     violations = []
 
@@ -138,7 +131,7 @@ def check_conditions(inst: MlpInstance) -> ConditionReport:
     for row in inst.levels[inst.k - 1].rows:
         if row.strict:
             continue
-        bounds.add(_positive_normalized(row.coeffs, row.rhs))
+        bounds.add(_normalize(row.coeffs, row.rhs))
     c2 = True
     for j in range(total):
         lower = (unit(total, j), ZERO)

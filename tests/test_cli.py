@@ -192,6 +192,58 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2 and "error" in out
 
 
+BOXED_ROW = {"coeffs": {"1": ["1"]}, "rhs": "0"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a level that is a list, not an object
+        {"k": 1, "n": [1], "levels": [[1, 2]]},
+        # a string flag would read as strict through truthiness
+        {
+            "k": 1,
+            "n": [1],
+            "levels": [
+                {
+                    "rows": [dict(BOXED_ROW, strict="false")],
+                    "objective": {"1": ["1"]},
+                }
+            ],
+        },
+        # a fractional dimension would be truncated
+        {"k": 1, "n": [1.9], "levels": [{"rows": [BOXED_ROW]}]},
+        {"k": 1.0, "n": [1], "levels": [{"rows": [BOXED_ROW]}]},
+        {"k": 1, "n": [1], "levels": [{"rows": 5}]},
+        # true would read as the rational 1
+        {"k": 1, "n": [1], "levels": [{"rows": [dict(BOXED_ROW, rhs=True)]}]},
+        # a block under "01" would be dropped, leaving the row 0 >= 0
+        {"k": 1, "n": [1], "levels": [{"rows": [{"coeffs": {"01": ["1"]}}]}]},
+    ],
+    ids=[
+        "level-not-object", "strict-string", "n-float", "k-float", "rows-not-list",
+        "rhs-bool", "level-key-leading-zero",
+    ],
+)
+def test_malformed_instance_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = invoke(capsys, "solve", str(path))
+    assert code == 2 and set(out) == {"error"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"dim": 1.9, "weak": [[["1"], "0"]]}, {"dim": 1, "weak": 5}],
+    ids=["dim-float", "weak-not-list"],
+)
+def test_malformed_polyhedron_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(doc))
+    code, out = invoke(capsys, "project", str(path), "--keep", "1")
+    assert code == 2 and set(out) == {"error"}
+
+
 def test_eps_field_roundtrips(capsys, tmp_path):
     inst = build_instance((1,), [[((1,), 0)]], [(1,)], eps=F(1, 3))
     path = tmp_path / "eps.json"

@@ -285,6 +285,35 @@ def test_inf_matches_closure_inf():
         assert poly.inf_linear(cost)[0] == poly.closure().inf_linear(cost)[0]
 
 
+def test_inf_linear_minimizer_iff_cap_nonempty():
+    # reference: the infimum is attained iff P meets {x : c.x <= value}
+    rng = random.Random(2718)
+    finite = unattained = 0
+    for _ in range(2400):
+        dim = rng.randint(1, 3)
+        poly = random_genpoly(rng, dim, max_rows=5)
+        cost = random_point(rng, dim, span=3, max_den=2)
+        value, minimizer = poly.inf_linear(cost)
+        assert (value == POS_INF) == poly.is_empty()
+        if not value.is_finite:
+            assert minimizer is None
+            continue
+        finite += 1
+        cap = genpoly(dim, weak=[([-q for q in cost], -value.finite)])
+        assert (minimizer is None) == poly.intersect(cap).is_empty()
+        if minimizer is None:
+            unattained += 1
+        else:
+            assert poly.contains(minimizer)
+            assert sum(a * b for a, b in zip(cost, minimizer)) == value.finite
+    assert finite > 400 and unattained > 100
+
+
+def test_inf_linear_dim_zero_minimizer_is_empty_tuple():
+    assert GenPoly(0).inf_linear(()) == (ExtReal.of(0), ())
+    assert GenPoly(0, strict=(((), F(0)),)).inf_linear(()) == (POS_INF, None)
+
+
 # -- subset ---------------------------------------------------------------------------
 
 

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from klp.genpoly import NEG_INF, POS_INF, ExtReal
+from klp.genpoly import NEG_INF, POS_INF, ExtReal, GenPoly, _is_empty
 from klp.mlp import (
     FINITE,
     INFEASIBLE,
     UNBOUNDED,
+    _analysis,
     build_instance,
     check_feasible_point,
     check_optimal_point,
@@ -268,6 +269,35 @@ def test_last_level_without_rows():
     # follower minimizing an unconstrained variable: never optimal anywhere
     hopeless = build_instance((1, 1), [[((1, 0), 2)], []], [(1, 0), (0, 1)])
     assert solve(hopeless).status == INFEASIBLE
+
+
+def test_empty_last_level_has_no_cells():
+    # x2 >= 1 and x2 <= 0 at the last level: nothing is feasible anywhere
+    inst = build_instance((1, 1), [[], [((0, 1), 1), ((0, -1), 0)]], [(1, 0), (0, 1)])
+    assert feasible_set(inst, 2).cells == ()
+    assert feasible_set(inst, 1).cells == ()
+    assert solve(inst).status == INFEASIBLE
+
+
+def test_solve_elimination_counts(monkeypatch):
+    # deterministic work counters: a change in the FM work done by a cold
+    # solve shows up here
+    calls = []
+    original = GenPoly.eliminate
+
+    def counting(self, var):
+        calls.append(var)
+        return original(self, var)
+
+    monkeypatch.setattr(GenPoly, "eliminate", counting)
+    counts = []
+    for inst in (bilevel_example(), buchheim_instance()):
+        _analysis.cache_clear()
+        _is_empty.cache_clear()
+        calls.clear()
+        solve(inst)
+        counts.append(len(calls))
+    assert counts == [14, 36]
 
 
 # -- the eps-relaxed variant -------------------------------------------------------------
