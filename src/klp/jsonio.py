@@ -12,7 +12,7 @@ from .exactnum import Vec, format_rational, frac, vec, zeros
 from .genpoly import ExtReal, GenPoly
 from .mlp import Level, LevelRow, MlpInstance, SolveReport
 from .oracle import NaiveTrilevelDemo
-from .pwl import AFFINE, Piece, PwlFunc
+from .pwl import Piece, PwlFunc
 
 
 class FormatError(ValueError):
@@ -188,11 +188,11 @@ def genpoly_to_obj(poly: GenPoly) -> dict:
 
 
 def piece_to_obj(piece: Piece):
-    if piece.kind != AFFINE:
-        return piece.kind
+    if not piece.offset.is_finite:
+        return extreal_to_obj(piece.offset)
     return {
         "c": [format_rational(q) for q in piece.coeffs],
-        "d": format_rational(piece.offset),
+        "d": extreal_to_obj(piece.offset),
     }
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .exactnum import ZERO, Vec, dot, frac, vec, zeros
 from .genpoly import NEG_INF, POS_INF, ExtReal, GenPoly
-from .pwl import AFFINE, MINUS_INF, Piece, PwlFunc, lp_value_function
+from .pwl import Piece, PwlFunc, lp_value_function
 
 INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
@@ -106,10 +106,18 @@ def build_instance(dims, level_rows, objectives, eps=0) -> MlpInstance:
 
 @dataclass(frozen=True)
 class SolveReport:
-    status: str
+    """Exact optimal value of an instance, and a minimizer when it is attained."""
+
     value: ExtReal
-    attained: bool
     witness: Vec | None
+
+    @property
+    def status(self) -> str:
+        return {POS_INF: INFEASIBLE, NEG_INF: UNBOUNDED}.get(self.value, FINITE)
+
+    @property
+    def attained(self) -> bool:
+        return self.witness is not None
 
 
 @dataclass(frozen=True)
@@ -120,10 +128,12 @@ class FeasibleSetDesc:
 
 @dataclass(frozen=True)
 class _Analysis:
-    """Nonempty feasible-graph cells and the value function of each level."""
+    """Nonempty feasible-graph cells and the value function of each level,
+    plus the leader's optimum over the level-1 cells."""
 
     cells: dict[int, tuple[GenPoly, ...]]
     vfuncs: dict[int, PwlFunc]
+    report: SolveReport
 
 
 def _level_poly(inst: MlpInstance, level: int) -> GenPoly:
@@ -154,7 +164,18 @@ def _analysis(inst: MlpInstance) -> _Analysis:
         else:
             vfuncs[level] = PwlFunc.constant(prefix, Piece.plus_inf())
         cells[level - 1] = _refine_level(inst, level - 1, cells[level], vfuncs[level])
-    return _Analysis(cells, vfuncs)
+    return _Analysis(cells, vfuncs, _minimize(cells[1], inst.levels[0].objective))
+
+
+def _minimize(cells: Sequence[GenPoly], c1: Vec) -> SolveReport:
+    """One minimization per leader cell; the witness is the minimizer of the
+    first cell that attains the overall minimum."""
+    value, witness = POS_INF, None
+    for cell in cells:
+        cell_value, minimizer = cell.inf_linear(c1)
+        if cell_value < value or (cell_value == value and witness is None):
+            value, witness = cell_value, minimizer
+    return SolveReport(value, witness)
 
 
 def _refine_level(
@@ -170,13 +191,13 @@ def _refine_level(
     for cell in deeper_cells:
         base = cell.intersect(own)
         for region, piece in vf.cells:
-            if piece.kind == MINUS_INF:
+            if piece.offset == NEG_INF:
                 continue
             refined = base.intersect(region.extended(n))
-            if piece.kind == AFFINE:
+            if piece.offset.is_finite:
                 lifted = piece.coeffs + zeros(n - len(piece.coeffs))
                 row = tuple(a - b for a, b in zip(lifted, deeper_obj))
-                refined = refined.with_row(row, -piece.offset - inst.eps)
+                refined = refined.with_row(row, -piece.offset.finite - inst.eps)
             if not refined.is_empty():
                 out.append(refined)
     return tuple(out)
@@ -201,22 +222,8 @@ def is_feasible(inst: MlpInstance) -> bool:
 
 
 def solve(inst: MlpInstance) -> SolveReport:
-    """Exact optimal value of the instance, with attainment and witness.
-
-    One minimization per leader cell; the witness is the minimizer of the
-    first cell that attains the overall minimum.
-    """
-    c1 = inst.levels[0].objective
-    value, witness = POS_INF, None
-    for cell in _analysis(inst).cells[1]:
-        cell_value, minimizer = cell.inf_linear(c1)
-        if cell_value < value or (cell_value == value and witness is None):
-            value, witness = cell_value, minimizer
-    if value == POS_INF:
-        return SolveReport(INFEASIBLE, POS_INF, False, None)
-    if value == NEG_INF:
-        return SolveReport(UNBOUNDED, NEG_INF, False, None)
-    return SolveReport(FINITE, value, witness is not None, witness)
+    """Exact optimal value of the instance, with attainment and witness."""
+    return _analysis(inst).report
 
 
 def decide_val(inst: MlpInstance, threshold) -> bool:
@@ -224,14 +231,13 @@ def decide_val(inst: MlpInstance, threshold) -> bool:
 
     An infimum that equals the threshold but is not attained answers no.
     """
-    t = frac(threshold)
-    c1 = inst.levels[0].objective
-    cap = GenPoly(inst.total, weak=((tuple(-q for q in c1), -t),))
-    return any(not cell.intersect(cap).is_empty() for cell in _analysis(inst).cells[1])
+    t = ExtReal.of(threshold)
+    report = _analysis(inst).report
+    return report.value < t or (report.value == t and report.attained)
 
 
 def decide_unbounded(inst: MlpInstance) -> bool:
-    return solve(inst).status == UNBOUNDED
+    return _analysis(inst).report.value == NEG_INF
 
 
 def check_feasible_point(inst: MlpInstance, x: Sequence) -> bool:
@@ -264,4 +270,4 @@ def check_optimal_point(inst: MlpInstance, x: Sequence) -> bool:
     point = vec(x)
     if not check_feasible_point(inst, point):
         return False
-    return ExtReal.of(dot(inst.levels[0].objective, point)) == solve(inst).value
+    return ExtReal.of(dot(inst.levels[0].objective, point)) == _analysis(inst).report.value

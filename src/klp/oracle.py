@@ -373,7 +373,7 @@ def random_instance(
         )
         if not poly.is_empty():
             return inst
-    raise RuntimeError("could not draw a nonempty last level in 1000 attempts")
+    raise ValueError("could not draw a nonempty last level in 1000 attempts")
 
 
 def _draw_instance(rng, dims, counts, bound, boxes: bool) -> MlpInstance:

@@ -13,49 +13,40 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ZERO, Mat, Vec, dot, frac, gauss_solve, vec
+from .exactnum import ZERO, Mat, Vec, dot, gauss_solve, vec
 from .genpoly import NEG_INF, POS_INF, ExtReal, GenPoly, whole_space
-
-AFFINE = "affine"
-PLUS_INF = "+inf"
-MINUS_INF = "-inf"
 
 
 @dataclass(frozen=True)
 class Piece:
-    """One branch of a piecewise function: c.x + d, +inf, or -inf."""
+    """One branch of a piecewise function: c.x + d with an extended-real
+    offset d; an infinite offset makes the piece +inf or -inf, with no c."""
 
-    kind: str
-    coeffs: Vec = ()
-    offset: Fraction = ZERO
+    coeffs: Vec
+    offset: ExtReal
 
     def __post_init__(self):
-        if self.kind not in (AFFINE, PLUS_INF, MINUS_INF):
-            raise ValueError(f"unknown piece kind {self.kind!r}")
-        if self.kind != AFFINE and (self.coeffs or self.offset != 0):
+        if not self.offset.is_finite and self.coeffs:
             raise ValueError("infinite pieces carry no coefficients")
 
     @staticmethod
     def affine(coeffs, offset=0) -> "Piece":
-        return Piece(AFFINE, vec(coeffs), frac(offset))
+        return Piece(vec(coeffs), ExtReal.of(offset))
 
     @staticmethod
     def plus_inf() -> "Piece":
-        return Piece(PLUS_INF)
+        return Piece((), POS_INF)
 
     @staticmethod
     def minus_inf() -> "Piece":
-        return Piece(MINUS_INF)
+        return Piece((), NEG_INF)
 
     def value_at(self, x: Vec) -> ExtReal:
-        if self.kind == PLUS_INF:
-            return POS_INF
-        if self.kind == MINUS_INF:
-            return NEG_INF
-        return ExtReal.of(dot(self.coeffs, x) + self.offset)
+        if not self.offset.is_finite:
+            return self.offset
+        return self.offset.plus(dot(self.coeffs, x))
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,7 @@ class PwlFunc:
         for region, piece in self.cells:
             if region.dim != self.dim:
                 raise ValueError("cell region dimension mismatch")
-            if piece.kind == AFFINE and len(piece.coeffs) != self.dim:
+            if piece.offset.is_finite and len(piece.coeffs) != self.dim:
                 raise ValueError("affine piece arity mismatch")
 
     @staticmethod
@@ -91,23 +82,14 @@ def _comparison_region(
 ) -> GenPoly | None:
     """base restricted to {big > small} (strict) or {big >= small}.
 
-    Comparisons against infinite pieces resolve without numeric rows: returns
-    None when the comparison is unsatisfiable, base itself when vacuous.
+    With an infinite side the comparison is the same at every point, so the
+    offsets decide it: None when it fails, base itself when it holds.
     """
-    if small.kind == MINUS_INF:
-        if strict:
-            return None if big.kind == MINUS_INF else base
-        return base
-    if small.kind == PLUS_INF:
-        if strict:
-            return None
-        return base if big.kind == PLUS_INF else None
-    if big.kind == PLUS_INF:
-        return base
-    if big.kind == MINUS_INF:
-        return None
+    if not (big.offset.is_finite and small.offset.is_finite):
+        holds = big.offset > small.offset if strict else big.offset >= small.offset
+        return base if holds else None
     row = tuple(a - b for a, b in zip(big.coeffs, small.coeffs))
-    return base.with_row(row, small.offset - big.offset, strict)
+    return base.with_row(row, small.offset.finite - big.offset.finite, strict)
 
 
 def _min_pair(f: PwlFunc, g: PwlFunc) -> PwlFunc:
@@ -209,13 +191,9 @@ def _cell_value_function(cell: GenPoly, n_x: int, cost: Vec, n_y: int) -> PwlFun
         forms.append((coeffs, offset))
 
     for i, (ci, di) in enumerate(forms):
-        region = domain
-        for j, (cj, dj) in enumerate(forms):
-            if j == i:
-                continue
-            # keep theta_i on top: strictly above earlier forms, weakly above later
-            row = tuple(a - b for a, b in zip(ci, cj))
-            region = region.with_row(row, dj - di, strict=j < i)
+        # keep theta_i on top: strictly above earlier forms, weakly above later
+        rows = [(tuple(a - b for a, b in zip(ci, cj)), dj - di) for cj, dj in forms]
+        region = domain.intersect(GenPoly(n_y, tuple(rows[i + 1 :]), tuple(rows[:i])))
         if not region.is_empty():
             pieces.append((region, Piece.affine(ci, di)))
     return PwlFunc(n_y, tuple(pieces))

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from klp import jsonio
 from klp.cli import run
@@ -156,6 +162,15 @@ def test_gen_deterministic(capsys):
     assert first == second
 
 
+def test_gen_without_a_nonempty_draw_exits_2(capsys):
+    # 40 random rows over the 0/1 box leave it empty on every redraw
+    code, out = invoke(
+        capsys, "gen", "--seed", "0", "--k", "2", "--dims", "1,1", "--rows", "0,40",
+        "--bound", "1", "--require", "C1,C2",
+    )
+    assert code == 2 and set(out) == {"error"}
+
+
 def test_roundtrip_parse_serialize_parse(capsys):
     run(["gen", "--seed", "12", "--k", "3", "--dims", "1,1,1", "--rows", "1,1,2"])
     body = capsys.readouterr().out
@@ -257,3 +272,89 @@ def test_strict_rows_roundtrip():
     obj = jsonio.instance_to_obj(inst)
     assert obj["levels"][0]["rows"][0]["strict"] is True
     assert jsonio.instance_from_obj(obj) == inst
+
+
+# -- totality: any instance document gives exit 0 or 2 and one JSON document --------
+
+
+_rational = st.one_of(
+    st.integers(-3, 3), st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3))
+)
+_junk = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3), st.just("1/0"),
+    st.just([]), st.just({}), st.integers(-2, 2),
+)
+
+
+@st.composite
+def _instance_docs(draw):
+    """A small valid instance document, half the time with one entry replaced
+    by junk or one object key respelled."""
+    k = draw(st.integers(1, 2))
+    n = draw(st.lists(st.integers(1, 2), min_size=k, max_size=k))
+
+    def blocks(first):
+        return {
+            str(level): [draw(_rational) for _ in range(n[level - 1])]
+            for level in range(first, k + 1)
+            if draw(st.booleans())
+        }
+
+    def row():
+        out = {"coeffs": blocks(1), "rhs": draw(_rational)}
+        if draw(st.booleans()):
+            out["strict"] = True
+        return out
+
+    levels = [
+        {"rows": [row() for _ in range(draw(st.integers(0, 3)))], "objective": blocks(li)}
+        for li in range(1, k + 1)
+    ]
+    box = [{"k": k, "n": n, "levels": levels}]
+    if draw(st.booleans()):
+        return box[0]
+    slots = []  # (container, key) of every entry, the document itself included
+
+    def collect(node):
+        pairs = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in list(pairs):
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                collect(value)
+
+    collect(box)
+    holder, key = draw(st.sampled_from(slots))
+    if isinstance(holder, dict) and draw(st.booleans()):
+        holder[draw(st.sampled_from(["01", "0", "3", "+1", "x"]))] = holder.pop(key)
+    else:
+        holder[key] = draw(_junk)
+    return box[0]
+
+
+_argument = st.one_of(_rational.map(str), st.sampled_from(["1/0", "x", ""]))
+_command = st.one_of(
+    st.tuples(st.sampled_from(["solve", "feasible", "decide-unb", "value-functions"])),
+    st.tuples(st.just("decide-val"), _argument.map(lambda t: "--t=" + t)),
+    st.tuples(
+        st.just("check-point"),
+        st.lists(_argument, min_size=1, max_size=3).map(lambda p: "--point=" + ",".join(p)),
+    ),
+    st.tuples(st.just("transform"), st.just("--op"), st.sampled_from(["forward", "gadget"])),
+    st.tuples(
+        st.just("transform"), st.just("--op=scale"), _argument.map(lambda t: "--lambda=" + t)
+    ),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(doc=_instance_docs(), command=_command)
+def test_cli_is_total_on_instance_documents(doc, command):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run([command[0], str(path), *command[1:]])
+    event(f"exit {code}")
+    assert code in (0, 2)
+    json.loads(out.getvalue())  # exactly one JSON document, nothing around it

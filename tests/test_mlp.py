@@ -186,6 +186,56 @@ def test_decide_val_unattained_threshold_is_no():
     assert decide_val(inst, F(1, 10))
 
 
+def _decide_val_by_cap(inst, threshold):
+    # the definition decide_val had before it read the cached optimum
+    c1 = inst.levels[0].objective
+    cap = GenPoly(inst.total, weak=((tuple(-q for q in c1), -F(threshold)),))
+    return any(not cell.intersect(cap).is_empty() for cell in feasible_set(inst, 1).cells)
+
+
+def test_decide_val_matches_cap_definition():
+    # seeds 397, 1326 and 1450 of this shape are FINITE and unattained
+    seen = set()
+    for seed in list(range(40)) + [397, 1326, 1450]:
+        inst = random_instance(seed, 3, (1, 1, 1), (1, 1, 2), 2)
+        report = solve(inst)
+        seen.add((report.status, report.attained))
+        thresholds = [0]
+        if report.value.is_finite:
+            v = report.value.finite
+            thresholds += [v, v - 1, v + 1]
+        for t in thresholds:
+            assert decide_val(inst, t) == _decide_val_by_cap(inst, t)
+    assert seen == {
+        (FINITE, True), (FINITE, False), (INFEASIBLE, False), (UNBOUNDED, False)
+    }
+
+
+def test_queries_after_solve_do_not_minimize_again(monkeypatch):
+    calls = []
+    for name in ("inf_linear", "eliminate"):
+        original = getattr(GenPoly, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(GenPoly, name, counting)
+    for inst in (bilevel_example(), buchheim_instance()):
+        _analysis.cache_clear()
+        _is_empty.cache_clear()
+        calls.clear()
+        report = solve(inst)
+        assert "eliminate" in calls
+        threshold = report.value.finite if report.value.is_finite else 0
+        point = report.witness or (0,) * inst.total
+        calls.clear()
+        decide_unbounded(inst)
+        decide_val(inst, threshold)
+        check_optimal_point(inst, point)
+        assert calls == []
+
+
 # -- point checking ------------------------------------------------------------------------
 
 

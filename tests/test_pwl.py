@@ -85,6 +85,24 @@ def test_min_combine_minus_inf_wins():
     assert min_combine([lin, bottom]).eval([9]) == NEG_INF
 
 
+def test_min_combine_infinite_piece_comparisons():
+    # constant functions over the line: every pair of -inf, affine and +inf
+    # pieces, with ties (at x = 0 for the two lines) going to the first function
+    probes = [F(-2), F(-1, 2), F(0), F(1, 2), F(2)]
+    firsts = [Piece.minus_inf(), Piece.affine([1], 0), Piece.plus_inf()]
+    seconds = [Piece.minus_inf(), Piece.affine([-1], 0), Piece.plus_inf()]
+    for pf in firsts:
+        for pg in seconds:
+            f, g = PwlFunc.constant(1, pf), PwlFunc.constant(1, pg)
+            combined = min_combine([f, g])
+            for x in probes:
+                holders = [piece for region, piece in combined.cells if region.contains([x])]
+                assert len(holders) == 1
+                fx, gx = pf.value_at((x,)), pg.value_at((x,))
+                assert combined.eval([x]) == min(fx, gx)
+                assert holders[0] is (pf if fx <= gx else pg)
+
+
 def test_min_combine_pointwise_random():
     rng = random.Random(4242)
     for _ in range(20):
@@ -185,7 +203,7 @@ def test_value_function_continuity_on_closed_cells():
     # one parametric LP: pieces agree where adjacent closed regions meet
     cell = genpoly(2, weak=[([1, -1], 0), ([1, 0], 0)])
     v = lp_value_function([cell], 1, [1])
-    affine = [(r, p) for r, p in v.cells if p.kind == "affine"]
+    affine = [(r, p) for r, p in v.cells if p.offset.is_finite]
     assert len(affine) >= 2
     # the boundary y = 0 belongs to the closure of both affine regions
     for region, piece in affine:
@@ -216,7 +234,7 @@ def test_adjacent_regions_of_one_cell_agree_on_boundaries():
         if cell.is_empty():
             continue
         v = lp_value_function([cell], n_x, cost)
-        affine = [(r, p) for r, p in v.cells if p.kind == "affine"]
+        affine = [(r, p) for r, p in v.cells if p.offset.is_finite]
         for i in range(len(affine)):
             for j in range(i + 1, len(affine)):
                 shared = affine[i][0].closure().intersect(affine[j][0].closure())
