@@ -9,6 +9,7 @@ exit code, so scripted harnesses cannot confuse a NO with a failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -112,6 +113,7 @@ def _cmd_gen(args) -> int:
     return _emit(jsonio.instance_to_obj(inst))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="klp",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from typing import Iterable, Iterator, Sequence
 
 from .exactnum import ONE, ZERO, Vec, dot, format_rational, frac, vec
@@ -99,12 +99,12 @@ def _reduce(rows: Iterable[tuple[Vec, Fraction, bool]], dim: int):
     only the binding one: among parallel rows, weak rhs b implies strict rhs
     b' whenever b > b', and strict implies weak at equal rhs. Constant rows
     are evaluated: tautologies are dropped and a contradiction collapses the
-    whole system to the canonical false row 0 > 0.
+    whole system to the canonical false row 0 > 0. Kept rows are the original
+    (unscaled) rows, in the order their normalized keys first appear.
     """
     zero = (ZERO,) * dim
-    order: dict[Vec, None] = {}
-    originals: dict[tuple[Vec, bool], tuple[Vec, Fraction]] = {}
-    best: dict[Vec, dict[bool, Fraction]] = {}
+    # normalized key -> strictness -> (normalized rhs, original row)
+    best: dict[Vec, dict[bool, tuple[Fraction, RowPair]]] = {}
     for coeffs, rhs, strict in rows:
         key, nrhs = _normalize(coeffs, rhs)
         if key == zero:
@@ -114,19 +114,16 @@ def _reduce(rows: Iterable[tuple[Vec, Fraction, bool]], dim: int):
                 return (), ((zero, ZERO),)
             continue
         slot = best.setdefault(key, {})
-        if strict not in slot or nrhs > slot[strict]:
-            slot[strict] = nrhs
-            originals[(key, strict)] = (coeffs, rhs)
-        order.setdefault(key)
+        if strict not in slot or nrhs > slot[strict][0]:
+            slot[strict] = (nrhs, (coeffs, rhs))
 
     weak: list[RowPair] = []
     strict_rows: list[RowPair] = []
-    for key in order:
-        slot = best[key]
-        if True in slot and (False not in slot or slot[True] >= slot[False]):
-            strict_rows.append(originals[(key, True)])
+    for slot in best.values():
+        if True in slot and (False not in slot or slot[True][0] >= slot[False][0]):
+            strict_rows.append(slot[True][1])
         else:
-            weak.append(originals[(key, False)])
+            weak.append(slot[False][1])
     return tuple(weak), tuple(strict_rows)
 
 
@@ -213,16 +210,18 @@ class GenPoly:
 
     # -- elimination and projection ---------------------------------------------
 
-    def _equality_pivot(self, var: int) -> RowPair | None:
-        """A weak row with nonzero coefficient on var whose negation is also a
-        weak row, i.e. an equality usable as a substitution pivot."""
-        norms = {_normalize(c, r) for c, r in self.weak}
-        for coeffs, rhs in self.weak:
-            if coeffs[var] != 0:
-                negated = _normalize(tuple(-q for q in coeffs), -rhs)
-                if negated in norms:
-                    return coeffs, rhs
-        return None
+    @cached_property
+    def _equalities(self) -> tuple[RowPair, ...]:
+        """The weak rows whose negation is also a weak row, in row order: the
+        equalities usable as substitution pivots. Normalizing (-c, -r) gives
+        (-key, -rhs), so each row is normalized once."""
+        normed = [_normalize(c, r) for c, r in self.weak]
+        present = set(normed)
+        return tuple(
+            row
+            for row, (key, rhs) in zip(self.weak, normed)
+            if (tuple(-q for q in key), -rhs) in present
+        )
 
     def eliminate(self, var: int) -> "GenPoly":
         """Fourier-Motzkin elimination of coordinate ``var`` (0-based).
@@ -234,7 +233,7 @@ class GenPoly:
         """
         if not 0 <= var < self.dim:
             raise ValueError(f"no coordinate {var} in dim {self.dim}")
-        pivot = self._equality_pivot(var)
+        pivot = next((row for row in self._equalities if row[0][var] != 0), None)
         if pivot is not None:
             pc, pr = pivot
             combined = []
@@ -390,13 +389,12 @@ def _interval(poly: GenPoly, prefix: Sequence[Fraction]):
 
 @lru_cache(maxsize=None)
 def _is_empty(poly: GenPoly) -> bool:
-    current = GenPoly(poly.dim, *_reduce(poly.rows(), poly.dim))
-    while True:
-        if _reduced_to_false(current):
-            return True
-        if current.dim == 0:
+    # unreduced input is fine: each elimination reduces its output
+    while not _reduced_to_false(poly):
+        if poly.dim == 0:
             return False
-        current = current.eliminate(_cheapest_variable(current))
+        poly = poly.eliminate(_cheapest_variable(poly))
+    return True
 
 
 def _reduced_to_false(poly: GenPoly) -> bool:
@@ -412,13 +410,10 @@ def _cheapest_variable(poly: GenPoly) -> int:
     Variables pivoted by an equality pair are free (substitution); otherwise
     the classic lowers-times-uppers estimate applies.
     """
-    norms = {_normalize(c, r) for c, r in poly.weak}
-    for coeffs, rhs in poly.weak:
-        negated = _normalize(tuple(-q for q in coeffs), -rhs)
-        if negated in norms:
-            pivot_col = next((j for j, q in enumerate(coeffs) if q != 0), None)
-            if pivot_col is not None:
-                return pivot_col
+    for coeffs, _ in poly._equalities:
+        pivot_col = next((j for j, q in enumerate(coeffs) if q != 0), None)
+        if pivot_col is not None:
+            return pivot_col
     best, best_cost = 0, None
     for j in range(poly.dim):
         lowers = uppers = 0

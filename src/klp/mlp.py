@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .exactnum import ZERO, Vec, dot, frac, vec, zeros
@@ -129,11 +129,23 @@ class FeasibleSetDesc:
 @dataclass(frozen=True)
 class _Analysis:
     """Nonempty feasible-graph cells and the value function of each level,
-    plus the leader's optimum over the level-1 cells."""
+    plus the leader's objective, minimized over the level-1 cells on the
+    first request for the report."""
 
     cells: dict[int, tuple[GenPoly, ...]]
     vfuncs: dict[int, PwlFunc]
-    report: SolveReport
+    objective: Vec
+
+    @cached_property
+    def report(self) -> SolveReport:
+        """One minimization per leader cell; the witness is the minimizer of
+        the first cell that attains the overall minimum."""
+        value, witness = POS_INF, None
+        for cell in self.cells[1]:
+            cell_value, minimizer = cell.inf_linear(self.objective)
+            if cell_value < value or (cell_value == value and witness is None):
+                value, witness = cell_value, minimizer
+        return SolveReport(value, witness)
 
 
 def _level_poly(inst: MlpInstance, level: int) -> GenPoly:
@@ -164,18 +176,7 @@ def _analysis(inst: MlpInstance) -> _Analysis:
         else:
             vfuncs[level] = PwlFunc.constant(prefix, Piece.plus_inf())
         cells[level - 1] = _refine_level(inst, level - 1, cells[level], vfuncs[level])
-    return _Analysis(cells, vfuncs, _minimize(cells[1], inst.levels[0].objective))
-
-
-def _minimize(cells: Sequence[GenPoly], c1: Vec) -> SolveReport:
-    """One minimization per leader cell; the witness is the minimizer of the
-    first cell that attains the overall minimum."""
-    value, witness = POS_INF, None
-    for cell in cells:
-        cell_value, minimizer = cell.inf_linear(c1)
-        if cell_value < value or (cell_value == value and witness is None):
-            value, witness = cell_value, minimizer
-    return SolveReport(value, witness)
+    return _Analysis(cells, vfuncs, inst.levels[0].objective)
 
 
 def _refine_level(
@@ -183,7 +184,8 @@ def _refine_level(
 ) -> tuple[GenPoly, ...]:
     """Feasible-graph cells of ``level`` from the next level's cells and value
     function: own rows, plus "deeper objective <= value piece + eps" on each
-    piece region (+inf pieces add nothing, -inf pieces are infeasible)."""
+    finite piece's region. Infinite pieces add nothing: a deeper cell meets
+    no +inf region of V_{l+1}, and a -inf piece is infeasible."""
     n = inst.total
     own = _level_poly(inst, level)
     deeper_obj = inst.levels[level].objective  # objective of player level+1
@@ -191,13 +193,13 @@ def _refine_level(
     for cell in deeper_cells:
         base = cell.intersect(own)
         for region, piece in vf.cells:
-            if piece.offset == NEG_INF:
+            if not piece.offset.is_finite:
                 continue
-            refined = base.intersect(region.extended(n))
-            if piece.offset.is_finite:
-                lifted = piece.coeffs + zeros(n - len(piece.coeffs))
-                row = tuple(a - b for a, b in zip(lifted, deeper_obj))
-                refined = refined.with_row(row, -piece.offset.finite - inst.eps)
+            lifted = piece.coeffs + zeros(n - len(piece.coeffs))
+            row = tuple(a - b for a, b in zip(lifted, deeper_obj))
+            ext = region.extended(n)
+            bound = ((row, -piece.offset.finite - inst.eps),)
+            refined = base.intersect(GenPoly(n, ext.weak + bound, ext.strict))
             if not refined.is_empty():
                 out.append(refined)
     return tuple(out)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from independent_oracles import substituted_fiber
+from reference_rows import reference_equality_pivot, reference_reduce
 
-from klp.genpoly import NEG_INF, POS_INF, ExtReal, GenPoly, genpoly, whole_space
+from klp.genpoly import NEG_INF, POS_INF, ExtReal, GenPoly, _reduce, genpoly, whole_space
 from klp.oracle import random_genpoly, random_point
 
 F = Fraction
@@ -380,11 +381,88 @@ def test_substitution_elimination_matches_interval_oracle():
             poly.strict,
         )
         var = dim - 1
-        assert poly._equality_pivot(var) is not None
+        assert any(row[0][var] != 0 for row in poly._equalities)
         eliminated = poly.eliminate(var)
         for _ in range(10):
             y = random_point(rng, dim - 1, span=4, max_den=2)
             assert eliminated.contains(y) == fiber_interval_nonempty(poly, var, y)
+
+
+# -- row bookkeeping against the reference ------------------------------------------------
+
+
+def _row_soup(rng, dim):
+    """Rows that exercise every merge rule: parallel rows at different positive
+    scales, opposite pairs, zero rows, and strict/weak ties at equal rhs."""
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        coeffs = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+        rhs = F(rng.randint(-2, 2))
+        for _ in range(rng.randint(1, 3)):
+            scale = F(rng.randint(1, 4), rng.randint(1, 3))
+            shift = rng.choice([0, 0, 1, -1])
+            rows.append(
+                (tuple(scale * q for q in coeffs), scale * (rhs + shift), rng.random() < 0.4)
+            )
+        if rng.random() < 0.5:  # the opposite row: an equality pair when weak
+            scale = F(rng.randint(1, 3))
+            rows.append((tuple(-scale * q for q in coeffs), -scale * rhs, rng.random() < 0.2))
+        if rng.random() < 0.3:  # a strict/weak tie at equal rhs
+            rows.append((coeffs, rhs, not rows[-1][2]))
+    if rng.random() < 0.3:
+        rows.append(((F(0),) * dim, F(rng.choice([-1, 0, 0, 1])), rng.random() < 0.5))
+    rng.shuffle(rows)
+    return rows
+
+
+def _row_lists(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(1, 4)
+        if rng.random() < 0.3:
+            yield dim, list(random_genpoly(rng, dim, max_rows=6, bound=2).rows())
+        else:
+            yield dim, _row_soup(rng, dim)
+
+
+def test_reduce_matches_reference():
+    for dim, rows in _row_lists(1901, 400):
+        assert _reduce(rows, dim) == reference_reduce(rows, dim)
+
+
+def test_equalities_match_reference_pivot():
+    for dim, rows in _row_lists(1902, 400):
+        weak = tuple((c, r) for c, r, s in rows if not s)
+        strict = tuple((c, r) for c, r, s in rows if s)
+        for poly in (GenPoly(dim, weak, strict), GenPoly(dim, *_reduce(rows, dim))):
+            for var in range(dim):
+                first = next((row for row in poly._equalities if row[0][var] != 0), None)
+                assert first == reference_equality_pivot(poly, var)
+
+
+# -- invariances of emptiness and solving --------------------------------------------------
+
+
+def test_is_empty_invariant_under_row_duplication_order_and_scaling():
+    rng = random.Random(1903)
+    for dim, rows in _row_lists(1904, 300):
+        verdict = GenPoly(
+            dim,
+            tuple((c, r) for c, r, s in rows if not s),
+            tuple((c, r) for c, r, s in rows if s),
+        ).is_empty()
+        variant = [
+            (tuple(scale * q for q in c), scale * r, s)
+            for c, r, s in rows + rng.sample(rows, len(rows) // 2)
+            for scale in [F(rng.randint(1, 5), rng.randint(1, 5))]
+        ]
+        rng.shuffle(variant)
+        poly = GenPoly(
+            dim,
+            tuple((c, r) for c, r, s in variant if not s),
+            tuple((c, r) for c, r, s in variant if s),
+        )
+        assert poly.is_empty() == verdict
 
 
 # -- hypothesis properties ---------------------------------------------------------------

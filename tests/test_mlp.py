@@ -236,6 +236,22 @@ def test_queries_after_solve_do_not_minimize_again(monkeypatch):
         assert calls == []
 
 
+def test_cold_queries_without_solve_do_not_minimize(monkeypatch):
+    calls = []
+    original = GenPoly.inf_linear
+
+    def counting(self, c):
+        calls.append(c)
+        return original(self, c)
+
+    monkeypatch.setattr(GenPoly, "inf_linear", counting)
+    for query in (value_functions, is_feasible, lambda inst: feasible_set(inst, 1)):
+        for inst in (bilevel_example(), buchheim_instance()):
+            _analysis.cache_clear()
+            query(inst)
+            assert calls == []
+
+
 # -- point checking ------------------------------------------------------------------------
 
 
@@ -347,7 +363,72 @@ def test_solve_elimination_counts(monkeypatch):
         calls.clear()
         solve(inst)
         counts.append(len(calls))
-    assert counts == [14, 36]
+    assert counts == [12, 27]
+
+
+def _with_strict_rows_and_eps(inst, rng):
+    """The instance with about a third of its rows made strict and eps drawn
+    from {0, 1/2}."""
+    return build_instance(
+        inst.dims,
+        [[(r.coeffs, r.rhs, rng.random() < 0.3) for r in lv.rows] for lv in inst.levels],
+        [lv.objective for lv in inst.levels],
+        eps=rng.choice([F(0), F(1, 2)]),
+    )
+
+
+def _seeded_instances(seed):
+    """Seeded k = 2..4 draws, C1+C2 and C2 with upper rows, each followed by
+    a copy with strict rows and eps in {0, 1/2}."""
+    rng = random.Random(seed)
+    shapes = [
+        (2, (1, 2), (0, 3), ("C1", "C2")),
+        (2, (1, 1), (1, 2), ("C2",)),
+        (3, (1, 1, 1), (0, 0, 3), ("C1", "C2")),
+        (3, (1, 1, 1), (1, 1, 2), ("C2",)),
+        (4, (1, 1, 1, 1), (0, 0, 0, 2), ("C1", "C2")),
+    ]
+    for k, dims, rows, require in shapes * 3:
+        inst = random_instance(rng.randrange(10**6), k, dims, rows, 1, require)
+        yield inst
+        yield _with_strict_rows_and_eps(inst, rng)
+
+
+def test_deeper_cells_miss_infinite_regions():
+    # _refine_level skips the +inf regions of V_{l+1}; this is why that is exact
+    seen_infinite = 0
+    for inst in _seeded_instances(1905):
+        n = inst.total
+        funcs = dict(zip(range(inst.k, 1, -1), value_functions(inst)))
+        for level in range(1, inst.k):
+            deeper = feasible_set(inst, level + 1).cells
+            for region, piece in funcs[level + 1].cells:
+                if piece.offset != POS_INF:
+                    continue
+                seen_infinite += 1
+                for cell in deeper:
+                    assert cell.intersect(region.extended(n)).is_empty()
+    assert seen_infinite > 0
+
+
+def test_solve_invariant_under_row_order_and_duplication():
+    rng = random.Random(1906)
+    for inst in _seeded_instances(1907):
+        levels = []
+        for lv in inst.levels:
+            rows = [(r.coeffs, r.rhs, r.strict) for r in lv.rows]
+            rows += rng.sample(rows, len(rows) // 2)
+            rng.shuffle(rows)
+            levels.append(rows)
+        variant = build_instance(
+            inst.dims, levels, [lv.objective for lv in inst.levels], inst.eps
+        )
+        report, other = solve(inst), solve(variant)
+        assert (other.status, other.value, other.attained) == (
+            report.status, report.value, report.attained
+        )
+        if other.witness != report.witness:
+            assert check_optimal_point(inst, other.witness)
 
 
 # -- the eps-relaxed variant -------------------------------------------------------------
