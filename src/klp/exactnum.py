@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 

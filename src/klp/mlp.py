@@ -252,12 +252,8 @@ def check_feasible_point(inst: MlpInstance, x: Sequence) -> bool:
     point = vec(x)
     if len(point) != inst.total:
         raise ValueError(f"point of length {len(point)} for {inst.total} variables")
-    for level in inst.levels:
-        for row in level.rows:
-            lhs = dot(row.coeffs, point)
-            violated = lhs <= row.rhs if row.strict else lhs < row.rhs
-            if violated:
-                return False
+    if not all(_level_poly(inst, lv).contains(point) for lv in range(1, inst.k + 1)):
+        return False
     analysis = _analysis(inst)
     for lv in range(2, inst.k + 1):
         objective = dot(inst.levels[lv - 1].objective, point)

@@ -340,7 +340,8 @@ def random_instance(
 
     ``require`` may contain "C1" (all rows generated at the last level), "C2"
     (box rows 0 <= x_j <= 1 appended at the last level; instances whose last
-    level is empty are redrawn), and "C3" (rejects bound > total variables).
+    level is empty are redrawn, up to 100 times), and "C3" (rejects bound >
+    total variables).
     """
     wanted = frozenset(require)
     if not wanted <= _CONDITIONS:
@@ -363,7 +364,7 @@ def random_instance(
         counts = (0,) * (k - 1) + (sum(rows),)
 
     rng = random.Random(seed)
-    for _ in range(1000):
+    for _ in range(100):
         inst = _draw_instance(rng, dims, counts, bound, "C2" in wanted)
         if "C2" not in wanted:
             return inst
@@ -373,7 +374,7 @@ def random_instance(
         )
         if not poly.is_empty():
             return inst
-    raise ValueError("could not draw a nonempty last level in 1000 attempts")
+    raise ValueError("could not draw a nonempty last level in 100 attempts")
 
 
 def _draw_instance(rng, dims, counts, bound, boxes: bool) -> MlpInstance:

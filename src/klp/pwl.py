@@ -1,18 +1,20 @@
 """Rational piecewise-linear functions over partitions into generalized
 polyhedra, with +inf and -inf pieces.
 
-Two constructions live here. ``min_combine`` refines partitions pairwise and
-splits every refinement cell by "who is smaller", breaking ties in favor of
-the earlier function. ``lp_value_function`` turns a union of generalized
-polyhedra over (x, y) into the function y -> inf { c.x : (x, y) in union },
-via domain projection plus enumeration of the dual extreme points of each
-cell's closure.
+Two constructions live here, on one split: cut a region by which affine piece
+is lowest, ties going to the earliest piece. ``min_combine`` refines
+partitions pairwise and splits every refinement cell by the two functions'
+pieces. ``lp_value_function`` turns a union of generalized polyhedra over
+(x, y) into the function y -> inf { c.x : (x, y) in union }, via domain
+projection plus enumeration of the dual extreme points of each cell's
+closure; the maximum over those dual forms is the split of their negations.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import ZERO, Mat, Vec, dot, gauss_solve, vec
@@ -77,19 +79,28 @@ class PwlFunc:
         raise RuntimeError("partition invariant broken: no cell contains the point")
 
 
-def _comparison_region(
-    base: GenPoly, big: Piece, small: Piece, strict: bool
-) -> GenPoly | None:
-    """base restricted to {big > small} (strict) or {big >= small}.
-
-    With an infinite side the comparison is the same at every point, so the
-    offsets decide it: None when it fails, base itself when it holds.
+def _lowest(base: GenPoly, pieces: Sequence[Piece]) -> list[tuple[GenPoly, int]]:
+    """The nonempty parts of ``base`` where ``pieces[i]`` is lowest, as
+    (region, i) pairs: strictly below every earlier piece and weakly below
+    every later one, so ties go to the earliest piece. A comparison with an
+    infinite side holds everywhere or nowhere: it is the zero row with rhs
+    sign(p_i - p_j), which ``_reduce`` drops or collapses to 0 > 0.
     """
-    if not (big.offset.is_finite and small.offset.is_finite):
-        holds = big.offset > small.offset if strict else big.offset >= small.offset
-        return base if holds else None
-    row = tuple(a - b for a, b in zip(big.coeffs, small.coeffs))
-    return base.with_row(row, small.offset.finite - big.offset.finite, strict)
+    n = base.dim
+    out = []
+    for i, p in enumerate(pieces):
+        rows = []
+        for q in pieces:
+            if p.offset.is_finite and q.offset.is_finite:
+                row = tuple(b - a for a, b in zip(p.coeffs, q.coeffs))
+                rows.append((row, p.offset.finite - q.offset.finite))
+            else:
+                sign = (p.offset > q.offset) - (q.offset > p.offset)
+                rows.append(((ZERO,) * n, Fraction(sign)))
+        region = base.intersect(GenPoly(n, tuple(rows[i + 1 :]), tuple(rows[:i])))
+        if not region.is_empty():
+            out.append((region, i))
+    return out
 
 
 def _min_pair(f: PwlFunc, g: PwlFunc) -> PwlFunc:
@@ -100,12 +111,7 @@ def _min_pair(f: PwlFunc, g: PwlFunc) -> PwlFunc:
             base = rf.intersect(rg)
             if base.is_empty():
                 continue
-            keeps_f = _comparison_region(base, pg, pf, strict=False)
-            if keeps_f is not None and not keeps_f.is_empty():
-                out.append((keeps_f, pf))
-            keeps_g = _comparison_region(base, pf, pg, strict=True)
-            if keeps_g is not None and not keeps_g.is_empty():
-                out.append((keeps_g, pg))
+            out.extend((region, (pf, pg)[i]) for region, i in _lowest(base, (pf, pg)))
     return PwlFunc(f.dim, tuple(out))
 
 
@@ -173,29 +179,17 @@ def _cell_value_function(cell: GenPoly, n_x: int, cost: Vec, n_y: int) -> PwlFun
     ]
     closed = cell.weak + cell.strict  # the closure's rows; the cell is nonempty
     g_rows = [coeffs[:n_x] for coeffs, _ in closed]
-    h_rows = [coeffs[n_x:] for coeffs, _ in closed]
-    rhs = [r for _, r in closed]
+    h_cols = [tuple(coeffs[n_x + t] for coeffs, _ in closed) for t in range(n_y)]
+    rhs = tuple(r for _, r in closed)
     vertices = _dual_vertices(g_rows, cost)
     if not vertices:
         pieces.append((domain, Piece.minus_inf()))
         return PwlFunc(n_y, tuple(pieces))
 
-    # theta_j(y) = u_j . (h - H y), affine in y
-    forms = []
-    for u in vertices:
-        coeffs = tuple(
-            -sum((u[i] * h_rows[i][t] for i in range(len(u))), ZERO)
-            for t in range(n_y)
-        )
-        offset = sum((u[i] * rhs[i] for i in range(len(u))), ZERO)
-        forms.append((coeffs, offset))
-
-    for i, (ci, di) in enumerate(forms):
-        # keep theta_i on top: strictly above earlier forms, weakly above later
-        rows = [(tuple(a - b for a, b in zip(ci, cj)), dj - di) for cj, dj in forms]
-        region = domain.intersect(GenPoly(n_y, tuple(rows[i + 1 :]), tuple(rows[:i])))
-        if not region.is_empty():
-            pieces.append((region, Piece.affine(ci, di)))
+    # theta_j(y) = u_j . (h - H y); the highest theta is the lowest -theta
+    neg = [([dot(u, col) for col in h_cols], -dot(u, rhs)) for u in vertices]
+    for region, i in _lowest(domain, [Piece.affine(c, d) for c, d in neg]):
+        pieces.append((region, Piece.affine([-q for q in neg[i][0]], -neg[i][1])))
     return PwlFunc(n_y, tuple(pieces))
 
 

@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -496,3 +497,14 @@ def test_complement_covers_sampled_grid(poly):
     x = tuple(point[j % len(probe)] for j in range(poly.dim))
     hits = int(poly.contains(x)) + sum(c.contains(x) for c in cells)
     assert hits == 1
+
+
+# -- public names ---------------------------------------------------------------------
+
+
+def test_klp_genpoly_is_the_module():
+    # the package does not re-export the constructor over the module's name
+    import klp.genpoly as gp
+
+    assert isinstance(gp, types.ModuleType)
+    assert gp.genpoly(1, weak=[([1], 0)]).contains([0])

@@ -431,6 +431,50 @@ def test_solve_invariant_under_row_order_and_duplication():
             assert check_optimal_point(inst, other.witness)
 
 
+def test_solve_invariant_under_permuted_variables_within_a_level():
+    # renaming the variables of one player changes no answer
+    rng = random.Random(1908)
+    shapes = [
+        (2, (1, 2), (0, 3), ("C1", "C2")),
+        (2, (2, 2), (0, 4), ("C1", "C2")),
+        (2, (2, 1), (1, 2), ("C2",)),
+        (3, (1, 1, 2), (0, 0, 3), ("C1", "C2")),
+        (3, (2, 1, 1), (0, 0, 3), ("C1", "C2")),
+    ]
+    attained = 0
+    for k, dims, rows, require in shapes * 3:
+        inst = random_instance(rng.randrange(10**6), k, dims, rows, 1, require)
+        for case in (inst, _with_strict_rows_and_eps(inst, rng)):
+            level = rng.choice([lv for lv in range(1, k + 1) if dims[lv - 1] > 1])
+            start = case.prefix_n(level)
+            end = start + dims[level - 1]
+            block = list(range(start, end))
+            while block == sorted(block):
+                rng.shuffle(block)
+            order = list(range(start)) + block + list(range(end, case.total))
+
+            def perm(v):
+                return tuple(v[o] for o in order)
+
+            variant = build_instance(
+                case.dims,
+                [
+                    [(perm(r.coeffs), r.rhs, r.strict) for r in lv.rows]
+                    for lv in case.levels
+                ],
+                [perm(lv.objective) for lv in case.levels],
+                case.eps,
+            )
+            report, other = solve(case), solve(variant)
+            assert (other.status, other.value, other.attained) == (
+                report.status, report.value, report.attained
+            )
+            if report.attained:
+                attained += 1
+                assert check_optimal_point(variant, perm(report.witness))
+    assert attained > 0
+
+
 # -- the eps-relaxed variant -------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from klp.exactnum import mat, vec
 from klp.genpoly import ExtReal
-from klp.mlp import INFEASIBLE, check_feasible_point, solve
+from klp.mlp import INFEASIBLE, build_instance, check_feasible_point, solve
 from klp.oracle import (
     StandardBilevel,
     bilevel_basis_solve,
@@ -171,3 +171,19 @@ def test_random_instance_c2_has_nonempty_last_level():
     for seed in range(5):
         inst = random_instance(seed, 2, (1, 1), (1, 1), 3, require=("C2",))
         assert not feasible_set(inst, inst.k).cells[0].is_empty()
+
+
+def test_random_instance_gives_up_after_100_empty_draws(monkeypatch):
+    from klp import oracle
+
+    empty = build_instance((1, 1), [[], [((0, 0), 1)]], [(1, 0), (0, 1)])
+    draws = []
+
+    def draw(rng, dims, counts, bound, boxes):
+        draws.append(boxes)
+        return empty
+
+    monkeypatch.setattr(oracle, "_draw_instance", draw)
+    with pytest.raises(ValueError):
+        random_instance(0, 2, (1, 1), (0, 1), 1, require=("C1", "C2"))
+    assert draws == [True] * 100

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from independent_oracles import fiber_infimum
+from reference_pwl import reference_lp_value_function, reference_min_combine
 
 from klp.exactnum import vec
 from klp.genpoly import NEG_INF, POS_INF, ExtReal, genpoly, whole_space
@@ -114,6 +115,21 @@ def test_min_combine_pointwise_random():
             assert combined.eval(x) == min(f.eval(x) for f in funcs)
 
 
+def test_min_combine_matches_reference():
+    # same regions (row order and scaling included) and pieces as the
+    # reference per-pair split, over +-inf pieces and exactly tied inputs
+    rng = random.Random(2020)
+    for _ in range(40):
+        dim = rng.randint(1, 2)
+        constants = [Piece.plus_inf(), Piece.minus_inf(), Piece.affine([1] * dim, 1)]
+        funcs = [random_pwl(rng, dim) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            funcs.insert(rng.randrange(len(funcs) + 1), rng.choice(funcs))
+        if rng.random() < 0.5:
+            funcs.append(PwlFunc.constant(dim, rng.choice(constants)))
+        assert min_combine(funcs).cells == reference_min_combine(funcs).cells
+
+
 def test_min_combine_tie_breaks_to_smallest_index():
     # two distinct lines crossing at x = 1
     f1 = PwlFunc.constant(1, Piece.affine([1], 0))  # x
@@ -197,6 +213,23 @@ def test_value_function_union_pointwise_oracle():
             assert v.eval(y) == fiber_infimum(cells, n_x, cost, y)
             checked += 1
     assert checked > 100
+
+
+def test_lp_value_function_matches_reference():
+    # random_genpoly draws strict rows and, at times, no rows at all
+    rng = random.Random(2021)
+    for _ in range(30):
+        n_x = rng.randint(1, 2)
+        n_y = rng.randint(1, 2)
+        cells = [
+            random_genpoly(rng, n_x + n_y, max_rows=4, bound=2)
+            for _ in range(rng.randint(1, 2))
+        ]
+        if rng.random() < 0.2:
+            cells.append(whole_space(n_x + n_y))
+        cost = tuple(F(rng.randint(-2, 2)) for _ in range(n_x))
+        expected = reference_lp_value_function(cells, n_x, cost)
+        assert lp_value_function(cells, n_x, cost).cells == expected.cells
 
 
 def test_value_function_continuity_on_closed_cells():
