@@ -68,10 +68,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def mat_vec(m: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in m)
-
-
 def _bits(n: int) -> int:
     # bit count with the convention bits(0) = 1
     return max(1, n.bit_length())

@@ -41,7 +41,6 @@ from .mlp import (
     check_feasible_point,
     solve,
 )
-from .pwl import Piece, PwlFunc
 
 
 @dataclass(frozen=True)
@@ -103,38 +102,33 @@ class StandardBilevel:
 
 
 @dataclass(frozen=True)
-class BasisCertificate:
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class BilevelBasisResult:
     status: str
     value: ExtReal
     attained: bool
     witness: Vec | None
-    basis: BasisCertificate | None
+    basis: tuple[int, ...] | None
     bases_total: int
     bases_singular: int
     bases_dual_feasible: int
 
 
 def _equality_rows(coeffs: Vec, rhs: Fraction):
-    yield coeffs, rhs, False
-    yield tuple(-q for q in coeffs), -rhs, False
+    yield coeffs, rhs
+    yield tuple(-q for q in coeffs), -rhs
 
 
-def _basis_system(p: StandardBilevel, inv: Mat, y: Vec, threshold) -> GenPoly:
+def _basis_system(p: StandardBilevel, inv: Mat, y: Vec) -> GenPoly:
     n = p.n1 + p.n2
     rows = []
     for a_row1, a_row2, rhs in zip(p.a11, p.a12, p.b1):
         rows.extend(_equality_rows(tuple(a_row1) + tuple(a_row2), rhs))
     for j in range(p.n1):
-        rows.append((unit(n, j), ZERO, False))
+        rows.append((unit(n, j), ZERO))
     for a_row1, a_row2, rhs in zip(p.a21, p.a22, p.b2):
         rows.extend(_equality_rows(tuple(a_row1) + tuple(a_row2), rhs))
     for j in range(p.n2):
-        rows.append((unit(n, p.n1 + j), ZERO, False))
+        rows.append((unit(n, p.n1 + j), ZERO))
 
     # value equation: y.(b2 - A21 x1) = c22.x2 with y = c_B^T A_B^{-1}
     x1_part = tuple(
@@ -150,23 +144,13 @@ def _basis_system(p: StandardBilevel, inv: Mat, y: Vec, threshold) -> GenPoly:
             -sum((inv[i][r] * p.a21[r][j] for r in range(p.m2)), ZERO)
             for j in range(p.n1)
         )
-        rows.append((coeffs + zeros(p.n2), -dot(inv[i], p.b2), False))
+        rows.append((coeffs + zeros(p.n2), -dot(inv[i], p.b2)))
 
-    if threshold is not None:
-        leader = tuple(-q for q in (p.c11 + p.c12))
-        rows.append((leader, -threshold, False))
-
-    weak = tuple((c, r) for c, r, s in rows if not s)
-    return GenPoly(n, weak=weak)
+    return GenPoly(n, weak=tuple(rows))
 
 
-def bilevel_basis_solve(p: StandardBilevel, threshold=None) -> BilevelBasisResult:
-    """Minimum leader objective over all dual-feasible-basis systems.
-
-    With ``threshold`` set, every system additionally carries the row
-    "leader objective <= threshold".
-    """
-    t = None if threshold is None else frac(threshold)
+def bilevel_basis_solve(p: StandardBilevel) -> BilevelBasisResult:
+    """Minimum leader objective over all dual-feasible-basis systems."""
     leader_cost = p.c11 + p.c12
     total = singular = dual_ok = 0
     consistent: list[tuple[ExtReal, Vec | None, tuple[int, ...]]] = []
@@ -192,7 +176,7 @@ def bilevel_basis_solve(p: StandardBilevel, threshold=None) -> BilevelBasisResul
         if not reduced_ok:
             continue
         dual_ok += 1
-        value, minimizer = _basis_system(p, inv, y, t).inf_linear(leader_cost)
+        value, minimizer = _basis_system(p, inv, y).inf_linear(leader_cost)
         if value != POS_INF:
             consistent.append((value, minimizer, basis))
 
@@ -208,8 +192,7 @@ def bilevel_basis_solve(p: StandardBilevel, threshold=None) -> BilevelBasisResul
     for value, minimizer, basis in consistent:
         if value == best and minimizer is not None:
             return BilevelBasisResult(
-                FINITE, best, True, minimizer, BasisCertificate(basis),
-                total, singular, dual_ok,
+                FINITE, best, True, minimizer, basis, total, singular, dual_ok
             )
     return BilevelBasisResult(FINITE, best, False, None, None, total, singular, dual_ok)
 
@@ -219,16 +202,12 @@ def to_mlp(p: StandardBilevel) -> MlpInstance:
     n = p.n1 + p.n2
     rows1 = []
     for a_row1, a_row2, rhs in zip(p.a11, p.a12, p.b1):
-        full = tuple(a_row1) + tuple(a_row2)
-        rows1.append((full, rhs))
-        rows1.append((tuple(-q for q in full), -rhs))
+        rows1.extend(_equality_rows(tuple(a_row1) + tuple(a_row2), rhs))
     for j in range(p.n1):
         rows1.append((unit(n, j), ZERO))
     rows2 = []
     for a_row1, a_row2, rhs in zip(p.a21, p.a22, p.b2):
-        full = tuple(a_row1) + tuple(a_row2)
-        rows2.append((full, rhs))
-        rows2.append((tuple(-q for q in full), -rhs))
+        rows2.extend(_equality_rows(tuple(a_row1) + tuple(a_row2), rhs))
     for j in range(p.n2):
         rows2.append((unit(n, p.n1 + j), ZERO))
     return build_instance(
@@ -404,59 +383,9 @@ def _draw_instance(rng, dims, counts, bound, boxes: bool) -> MlpInstance:
     return build_instance(dims, level_rows, objectives)
 
 
-def random_genpoly(rng: random.Random, dim: int, max_rows: int = 6, bound: int = 3) -> GenPoly:
-    """Test fuel: random mixed weak/strict system with small integer data."""
-    weak, strict = [], []
-    for _ in range(rng.randint(0, max_rows)):
-        coeffs = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
-        rhs = Fraction(rng.randint(-bound, bound))
-        (strict if rng.random() < 0.3 else weak).append((coeffs, rhs))
-    return GenPoly(dim, tuple(weak), tuple(strict))
-
-
-def random_point(rng: random.Random, dim: int, span: int = 8, max_den: int = 4) -> Vec:
-    return tuple(
-        Fraction(rng.randint(-span, span), rng.randint(1, max_den)) for _ in range(dim)
-    )
-
-
-def random_pwl(rng: random.Random, dim: int, bound: int = 3, max_planes: int = 2) -> PwlFunc:
-    """Test fuel: a valid partition from a small hyperplane arrangement, with
-    random affine and occasional infinite pieces."""
-    planes = []
-    for _ in range(rng.randint(1, max_planes)):
-        normal = zeros(dim)
-        while all(q == 0 for q in normal):
-            normal = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
-        planes.append((normal, Fraction(rng.randint(-bound, bound))))
-    cells = []
-    for sides in itertools.product((False, True), repeat=len(planes)):
-        weak, strict = [], []
-        for (normal, beta), upper in zip(planes, sides):
-            if upper:
-                weak.append((normal, beta))
-            else:
-                strict.append((tuple(-q for q in normal), -beta))
-        region = GenPoly(dim, tuple(weak), tuple(strict))
-        if region.is_empty():
-            continue
-        roll = rng.random()
-        if roll < 0.15:
-            piece = Piece.plus_inf()
-        elif roll < 0.3:
-            piece = Piece.minus_inf()
-        else:
-            piece = Piece.affine(
-                tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim)),
-                Fraction(rng.randint(-bound, bound)),
-            )
-        cells.append((region, piece))
-    return PwlFunc(dim, tuple(cells))
-
-
 def random_bilevel(rng: random.Random, bound: int = 3) -> StandardBilevel:
-    """Test fuel: a random standard-form bilevel instance whose follower region
-    is a polytope (box rows with slacks), so basic optima always exist."""
+    """A random standard-form bilevel instance whose follower region is a
+    polytope (box rows with slacks), so basic optima always exist."""
     q1 = rng.randint(1, 2)
     q2 = rng.randint(1, 2)
     extra = rng.random() < 0.5

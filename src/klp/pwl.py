@@ -109,8 +109,6 @@ def _min_pair(f: PwlFunc, g: PwlFunc) -> PwlFunc:
     for rf, pf in f.cells:
         for rg, pg in g.cells:
             base = rf.intersect(rg)
-            if base.is_empty():
-                continue
             out.extend((region, (pf, pg)[i]) for region, i in _lowest(base, (pf, pg)))
     return PwlFunc(f.dim, tuple(out))
 
@@ -177,7 +175,9 @@ def _cell_value_function(cell: GenPoly, n_x: int, cost: Vec, n_y: int) -> PwlFun
         for hole in domain.complement_cells()
         if not hole.is_empty()
     ]
-    closed = cell.weak + cell.strict  # the closure's rows; the cell is nonempty
+    # the closure's rows (the cell is nonempty) that touch x: a row without x
+    # is a zero column of G^T, so every support holding it is singular
+    closed = [row for row in cell.weak + cell.strict if any(row[0][:n_x])]
     g_rows = [coeffs[:n_x] for coeffs, _ in closed]
     h_cols = [tuple(coeffs[n_x + t] for coeffs, _ in closed) for t in range(n_y)]
     rhs = tuple(r for _, r in closed)

@@ -12,6 +12,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from fuel import random_genpoly, random_point, random_pwl
 from independent_oracles import fiber_infimum, substituted_fiber
 
 from klp.exactnum import zeros
@@ -30,10 +31,7 @@ from klp.oracle import (
     buchheim_instance,
     naive_trilevel_demo,
     random_bilevel,
-    random_genpoly,
     random_instance,
-    random_point,
-    random_pwl,
     to_mlp,
 )
 from klp.pwl import lp_value_function, min_combine

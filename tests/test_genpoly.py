@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fuel import random_genpoly, random_point
 from independent_oracles import substituted_fiber
 from reference_rows import reference_equality_pivot, reference_reduce
 
 from klp.genpoly import NEG_INF, POS_INF, ExtReal, GenPoly, _reduce, genpoly, whole_space
-from klp.oracle import random_genpoly, random_point
 
 F = Fraction
 

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from fuel import random_point
+from independent_oracles import prefix_fixed_value
 
+from klp import pwl
 from klp.genpoly import NEG_INF, POS_INF, ExtReal, GenPoly, _is_empty
 from klp.mlp import (
     FINITE,
@@ -19,7 +22,7 @@ from klp.mlp import (
     solve,
     value_functions,
 )
-from klp.oracle import buchheim_instance, random_instance, random_point
+from klp.oracle import buchheim_instance, random_instance
 
 F = Fraction
 
@@ -366,6 +369,27 @@ def test_solve_elimination_counts(monkeypatch):
     assert counts == [12, 27]
 
 
+def test_solve_dual_support_counts(monkeypatch):
+    # deterministic work counters: one gauss_solve per dual support tried, so
+    # a change in the supports a cold solve enumerates shows up here
+    calls = []
+    original = pwl.gauss_solve
+
+    def counting(m, rhs):
+        calls.append(len(rhs))
+        return original(m, rhs)
+
+    monkeypatch.setattr(pwl, "gauss_solve", counting)
+    counts = []
+    for inst in (bilevel_example(), buchheim_instance()):
+        _analysis.cache_clear()
+        _is_empty.cache_clear()
+        calls.clear()
+        solve(inst)
+        counts.append(len(calls))
+    assert counts == [4, 30]
+
+
 def _with_strict_rows_and_eps(inst, rng):
     """The instance with about a third of its rows made strict and eps drawn
     from {0, 1/2}."""
@@ -409,6 +433,24 @@ def test_deeper_cells_miss_infinite_regions():
                 for cell in deeper:
                     assert cell.intersect(region.extended(n)).is_empty()
     assert seen_infinite > 0
+
+
+def test_value_functions_match_prefix_fixing():
+    # the only check of a k >= 3 value function made outside the construction
+    rng = random.Random(2207)
+    finite = 0
+    for seed in (2208, 2209, 2210):
+        for inst in _seeded_instances(seed):
+            if inst.k < 3:
+                continue
+            for level, vf in zip(range(inst.k, 1, -1), value_functions(inst)):
+                points = [region.witness_point() for region, _ in vf.cells]
+                points += [random_point(rng, vf.dim, span=1) for _ in range(2)]
+                for p in points:
+                    value = vf.eval(p)
+                    assert value == prefix_fixed_value(inst, level, p), (level, p)
+                    finite += value.is_finite
+    assert finite > 100
 
 
 def test_solve_invariant_under_row_order_and_duplication():

@@ -64,12 +64,6 @@ def test_basis_solve_bilevel_example():
     assert result.bases_total == math.comb(3, 2)
 
 
-def test_basis_solve_threshold_prunes():
-    p = bilevel_example_standard_form()
-    assert bilevel_basis_solve(p, threshold=-1).status == "FINITE"
-    assert bilevel_basis_solve(p, threshold=F(-3, 2)).status == INFEASIBLE
-
-
 def test_basis_solve_infeasible_leader_row():
     p = StandardBilevel(
         a11=mat([[0, 0]]),

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from fuel import random_genpoly, random_point, random_pwl
 from independent_oracles import fiber_infimum
 from reference_pwl import reference_lp_value_function, reference_min_combine
 
 from klp.exactnum import vec
 from klp.genpoly import NEG_INF, POS_INF, ExtReal, genpoly, whole_space
-from klp.oracle import random_genpoly, random_point, random_pwl
 from klp.pwl import Piece, PwlFunc, lp_value_function, min_combine
 
 F = Fraction

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from fuel import random_point
 
 from klp.genpoly import NEG_INF, ExtReal
 from klp.mlp import build_instance, check_feasible_point, solve
-from klp.oracle import random_instance, random_point
+from klp.oracle import random_instance
 from klp.transforms import (
     check_conditions,
     forward_constraints,
